@@ -227,6 +227,16 @@ struct Service::DocSlot {
   }
 };
 
+/// One distinct query of a memo run: what `ViewCache::Execute` computes
+/// on a miss, plus the fingerprint its memo key carries. The pointees
+/// outlive the run.
+struct Service::MemoQuery {
+  const Pattern* pattern = nullptr;
+  /// Null: summarized only if the query misses the memo.
+  const SelectionSummary* summary = nullptr;
+  uint64_t fingerprint = 0;
+};
+
 /// All Service state, heap-stable behind one pointer so moves are cheap
 /// and the mutexes never have to move.
 struct Service::State {
@@ -936,79 +946,142 @@ ServiceResult<xpv::Answer> Service::AnswerUnderScope(DocumentId document,
     return ServiceResult<xpv::Answer>::Error(std::move(access.error));
   }
   access.slot->mu.AssertShared();  // Held via access.stripe.
-  // Epoch-keyed memo probe: the key binds the answer to the view set
-  // observed under the stripe we hold, so a hit is exactly what the
-  // rewrite pipeline would compute — and replaying the stored delta keeps
-  // the serving counters identical too. Empty patterns skip the memo
-  // (they answer constant-empty without touching the engine anyway).
-  AnswerCache::Key key;
-  const bool memoize = state_->answers.enabled() && !pattern->IsEmpty();
-  AnswerCache::Fill fill;
-  if (memoize) {
-    key = AnswerCache::Key{reinterpret_cast<uintptr_t>(access.slot),
-                           access.slot->Epoch(),
-                           pattern->CanonicalFingerprint()};
-    // Single-flight probe-or-arm: a resident entry answers immediately; a
-    // miss either leads (computes below and publishes) or joins a fill
-    // already in flight for this exact key and receives the leader's
-    // entry — a stampede of identical cold queries runs the rewrite
-    // pipeline once. Waiting is safe here: leader and followers hold the
-    // same stripe in SHARED mode, and the leader only ever blocks on
-    // short hash-table critical sections.
-    fill = state_->answers.BeginFill(key);
+  if (pattern->IsEmpty()) {
+    // Υ selects nothing: a constant empty miss, counted like any query,
+    // that never touches the engine or the memo.
+    access.shard->FoldStats(CacheStats{1, 0, 0});
+    return xpv::Answer{};
+  }
+  // A one-entry run of the batch slice's memo routine. Its summary is
+  // built only on a memo miss, so a memo hit costs one probe and the one
+  // answer copy into the reply.
+  const MemoQuery entry{pattern, nullptr, pattern->CanonicalFingerprint()};
+  std::shared_ptr<const AnswerCache::Entry> served;
+  ServeMemoRun(access.slot, &entry, 1, /*workers=*/1, /*pool=*/nullptr,
+               &served);
+  access.shard->FoldStats(served->delta);
+  return served->answer;
+}
+
+void Service::ServeMemoRun(DocSlot* slot, const MemoQuery* queries,
+                           size_t count, int workers, ThreadPool* pool,
+                           std::shared_ptr<const AnswerCache::Entry>* served) {
+  slot->mu.AssertShared();  // Held by the caller for the whole run.
+  const ViewCache& cache = slot->shard->cache;
+  // The memo key binds an answer to the view set observed under the
+  // stripe the caller holds, so a hit is exactly what `Execute` would
+  // compute — and replaying the stored delta keeps the serving counters
+  // identical too.
+  const uint64_t scope = reinterpret_cast<uintptr_t>(slot);
+  const uint64_t epoch = slot->Epoch();
+  AnswerCache& memo = state_->answers;
+  const bool memoize = memo.enabled();
+
+  // A query this run computes: `fill` is the flight it leads (publishing
+  // resolves it, waking every waiter), or no flight for a stale refresh
+  // (the probe hit but failed revalidation; a replacing Insert lands it)
+  // and for every query of an unmemoized run.
+  struct Miss {
+    size_t pos = 0;
+    AnswerCache::Fill fill;
+  };
+  // Computes `misses` through ONE `Execute` call, serves each from a local
+  // entry and memoizes it. The memo write is an optimization: a fault in
+  // it is absorbed, and an unpublished lead abandons its flight when its
+  // fill is destroyed — waiters re-elect.
+  auto compute = [&](std::vector<Miss>& misses) {
+    slot->mu.AssertShared();  // Still held by the caller.
+    std::deque<SelectionSummary> summaries;  // For entries without one.
+    std::vector<PlannedQuery> plan;
+    plan.reserve(misses.size());
+    for (const Miss& miss : misses) {
+      const MemoQuery& query = queries[miss.pos];
+      const SelectionSummary* summary = query.summary;
+      if (summary == nullptr) {
+        summary = &summaries.emplace_back(SummarizeSelection(*query.pattern));
+      }
+      plan.push_back(PlannedQuery{query.pattern, summary});
+    }
+    std::vector<PlannedAnswer> computed =
+        cache.Execute(plan, workers, pool, &state_->oracle);
+    for (size_t j = 0; j < misses.size(); ++j) {
+      Miss& miss = misses[j];
+      const uint64_t validity = slot->MemoValidity(computed[j].answer);
+      served[miss.pos] = std::make_shared<const AnswerCache::Entry>(
+          AnswerCache::Entry{std::move(computed[j].answer), computed[j].delta,
+                             validity});
+      if (!memoize) continue;
+      try {
+        fault::Point("service.memo_write");
+        if (miss.fill.leader()) {
+          // discard: the shared entry is for waiters; this run serves
+          // its own copy.
+          (void)memo.Publish(miss.fill, *served[miss.pos]);
+        } else {
+          memo.Insert({scope, epoch, queries[miss.pos].fingerprint},
+                      *served[miss.pos]);
+        }
+      } catch (const CancelledError&) {
+        throw;
+      } catch (const std::exception&) {
+      }
+    }
+  };
+
+  // Single-flight probe-or-arm per query: a fresh resident entry answers
+  // at once (held by pointer, no deep copy); a miss either leads (computed
+  // below) or joins a fill already in flight elsewhere and is waited on
+  // LAST. Every flight this run leads is resolved before its first wait,
+  // so two runs joining each other's keys always drain. Waiting is safe:
+  // leaders and followers hold their stripes in SHARED mode, and a leader
+  // only ever blocks on short hash-table critical sections. The miss
+  // lists stay empty — and allocation-free — when every query hits.
+  std::vector<Miss> misses;
+  std::vector<Miss> joins;
+  for (size_t k = 0; k < count; ++k) {
+    if (!memoize) {
+      misses.push_back(Miss{k, {}});
+      continue;
+    }
+    AnswerCache::Fill fill =
+        memo.BeginFill({scope, epoch, queries[k].fingerprint});
     if (fill.hit()) {
       // Revalidate against the per-view epochs: an in-place update bumps
       // exactly the epochs of the views it touched (and the doc epoch),
-      // leaving the key's shape epoch alone — a hit whose stamp went
-      // stale is recomputed below and REPLACES the resident entry.
-      if (access.slot->MemoFresh(*fill.entry())) {
-        access.shard->FoldStats(fill.entry()->delta);
-        return fill.entry()->answer;  // The one copy: into the reply.
-      }
-    } else if (!fill.leader()) {
-      if (std::shared_ptr<const AnswerCache::Entry> entry = fill.Wait()) {
-        // A leader from BEFORE an intervening update may have published a
-        // now-stale entry (it held the stripe shared earlier, not now):
-        // same revalidation as the table hit.
-        if (access.slot->MemoFresh(*entry)) {
-          access.shard->FoldStats(entry->delta);
-          return entry->answer;
-        }
-      }
-      // Every earlier leader unwound without publishing and Wait()
-      // re-elected US (fill.leader() is now true) — or the entry it
-      // published is stale: compute below. A re-elected leader publishes
-      // through its fill; a stale-refresh inserts directly.
-    }
-  }
-  CacheStats delta;
-  xpv::Answer answer =
-      access.shard->cache.AnswerConcurrent(*pattern, &state_->oracle, &delta);
-  access.shard->FoldStats(delta);
-  if (memoize) {
-    // Memoization is an optimization: a fault in the memo write is
-    // absorbed and the computed answer still returned. An unpublished
-    // leader fill abandons its flight on unwind — waiters re-elect.
-    try {
-      fault::Point("service.memo_write");
-      AnswerCache::Entry entry{answer, delta,
-                               access.slot->MemoValidity(answer)};
-      if (fill.leader()) {
-        // discard: the shared entry is for waiters; this leader serves
-        // the answer it already holds by value.
-        (void)state_->answers.Publish(fill, std::move(entry));
+      // leaving the key's shape epoch alone — a stale hit is recomputed
+      // and REPLACES the resident entry.
+      if (slot->MemoFresh(*fill.entry())) {
+        served[k] = fill.entry();
       } else {
-        // Stale-refresh path (the probe hit but failed revalidation, so
-        // no flight is armed): Insert replaces the stale resident entry —
-        // the validity stamps differ by construction.
-        state_->answers.Insert(key, std::move(entry));
+        misses.push_back(Miss{k, {}});
       }
-    } catch (const CancelledError&) {
-      throw;
-    } catch (const std::exception&) {
+    } else if (fill.leader()) {
+      misses.push_back(Miss{k, std::move(fill)});
+    } else {
+      joins.push_back(Miss{k, std::move(fill)});
     }
   }
-  return answer;
+  if (!misses.empty()) compute(misses);
+  // Leads a memo-write fault left unpublished abandon their flights here,
+  // before any wait: their waiters re-elect instead of waiting on a run
+  // that is itself waiting.
+  misses.clear();
+  // Collect the joined fills. A null Wait() means every earlier leader of
+  // that key unwound and the re-elected flight is now OURS: compute and
+  // publish through the promoted fill. A STALE waited entry (published by
+  // a leader whose stripe hold predates an intervening update) is
+  // recomputed without a flight and lands via a replacing Insert.
+  for (Miss& join : joins) {
+    std::shared_ptr<const AnswerCache::Entry> entry = join.fill.Wait();
+    if (entry == nullptr) {
+      misses.push_back(std::move(join));
+    } else if (!slot->MemoFresh(*entry)) {
+      misses.push_back(Miss{join.pos, {}});
+    } else {
+      served[join.pos] = std::move(entry);
+    }
+  }
+  if (!misses.empty()) compute(misses);
 }
 
 ServiceResult<BatchAnswers> Service::AnswerBatch(
@@ -1185,7 +1258,6 @@ BatchAnswers Service::AnswerBatchUnderScope(
     stripes.emplace_back(slot->mu);
   }
   std::vector<char> stripe_live(stripes.size(), 0);
-  std::vector<uint64_t> stripe_epoch(stripes.size(), 0);
   std::unordered_map<Shard*, size_t> stripe_of_shard;
   for (size_t i = 0; i < n; ++i) {
     Resolved& r = resolved[i];
@@ -1199,11 +1271,6 @@ BatchAnswers Service::AnswerBatchUnderScope(
     }
     const size_t si = stripe_index.at(r.slot);
     stripe_live[si] = 1;
-    // The memo epoch is read under the stripe we hold for the whole
-    // answering phase: answers computed below are valid exactly for this
-    // epoch, and a concurrent writer (blocked on the stripe) bumps it
-    // before the view set can change.
-    stripe_epoch[si] = r.slot->Epoch();
     r.shard = r.slot->shard.get();
     stripe_of_shard.emplace(r.shard, si);
   }
@@ -1231,7 +1298,6 @@ BatchAnswers Service::AnswerBatchUnderScope(
   for (Shard* shard : shard_order) live_items += by_shard[shard].size();
   ThreadPool* pool =
       EnsurePool(std::min<int>(workers, static_cast<int>(live_items)));
-  const bool memoize = state_->answers.enabled();
   // A deadline/cancel (or absorbed-then-rethrown fault) firing inside a
   // slice aborts THAT slice and every later one; items already answered
   // keep their answers (bit-identical to an unconstrained run — answers
@@ -1242,8 +1308,8 @@ BatchAnswers Service::AnswerBatchUnderScope(
   std::optional<ServiceError> abort_error;
   for (Shard* shard : shard_order) {
     const std::vector<size_t>& indices = by_shard[shard];
-    // `stripes`/`stripe_epoch` were built in `distinct_slots` order, so
-    // the stripe index recovers the shard's DocSlot (the memo scope).
+    // `stripes` was built in `distinct_slots` order, so the stripe index
+    // recovers the shard's DocSlot (the memo scope).
     const size_t si = stripe_of_shard.at(shard);
     if (aborted) {
       stripes[si].Unlock();
@@ -1254,195 +1320,30 @@ BatchAnswers Service::AnswerBatchUnderScope(
       // starts, even a fully-memoized one that would never poll again.
       PollCancellation();
       DocSlot* const slice_slot = distinct_slots[si];
-      slice_slot->mu.AssertShared();  // Held via the stripe vector.
-      const uint64_t scope = reinterpret_cast<uintptr_t>(slice_slot);
-      const uint64_t epoch = stripe_epoch[si];
 
-      // Distinct plan entries of this slice, in first-appearance order (the
-      // order the per-document pipeline would have deduplicated them in).
-      std::vector<int> slice_plan;
+      // Distinct plan entries of this slice, in first-appearance order.
+      std::vector<MemoQuery> slice_plan;
       std::unordered_map<int, int> slice_pos;
       for (size_t i : indices) {
         const int p = resolved[i].plan;
         if (p < 0) continue;
         if (slice_pos.try_emplace(p, static_cast<int>(slice_plan.size()))
                 .second) {
-          slice_plan.push_back(p);
+          const PlanEntry& entry = plan[static_cast<size_t>(p)];
+          slice_plan.push_back(
+              MemoQuery{&entry.pattern, &entry.summary, entry.fingerprint});
         }
       }
-
-      // Memo probe per distinct (slot, epoch, fingerprint): a hit replays a
-      // stored scan (answer + stats delta, held by pointer — no deep copy)
-      // without touching the rewrite engine. Misses arm single-flight
-      // fills: keys nobody else is computing are led (computed by the
-      // pipeline below), keys already in flight elsewhere are joined and
-      // waited on LAST — every fill this slice leads is published before
-      // the first wait, so two batches joining each other's keys always
-      // drain (each publishes its own leads first; no wait cycle exists).
-      std::vector<std::shared_ptr<const AnswerCache::Entry>> memo_entries(
+      // The distinct answers of this slice, by plan position: shared memo
+      // entries or freshly computed ones — nothing is deep-copied until
+      // the per-request fan-out below.
+      std::vector<std::shared_ptr<const AnswerCache::Entry>> served(
           slice_plan.size());
-      // Fills are kept ONLY for misses (leaders in compute order, joiners
-      // with their slice position). A warm slice keeps both lists empty —
-      // empty vectors never allocate, so the all-hit fast path stays free
-      // of per-slice heap traffic (a hit's Fill lives and dies inside its
-      // loop iteration; only its entry pointer survives).
-      std::vector<AnswerCache::Fill> lead_fills;
-      std::vector<std::pair<size_t, AnswerCache::Fill>> join_fills;
-      std::vector<PlannedAnswer> computed;  // Parallel to compute_pos.
-      std::vector<PlannedQuery> to_compute;
-      std::vector<size_t> compute_pos;
-      // Parallel to compute_pos: index into lead_fills, or -1 for a
-      // stale-refresh recompute (the probe hit but failed per-view-epoch
-      // revalidation — no flight armed; published via Insert, which
-      // replaces the stale resident entry).
-      std::vector<int> compute_fill;
-      for (size_t k = 0; k < slice_plan.size(); ++k) {
-        const PlanEntry& entry = plan[static_cast<size_t>(slice_plan[k])];
-        if (memoize) {
-          AnswerCache::Fill fill =
-              state_->answers.BeginFill({scope, epoch, entry.fingerprint});
-          if (fill.hit()) {
-            // Revalidate the stamp (see AnswerUnderScope): an in-place
-            // update leaves the key's shape epoch alone and bumps only
-            // the touched views' epochs.
-            if (slice_slot->MemoFresh(*fill.entry())) {
-              memo_entries[k] = fill.entry();
-              continue;
-            }
-            compute_fill.push_back(-1);
-          } else if (!fill.leader()) {
-            // In flight elsewhere; wait after computing our own leads.
-            join_fills.emplace_back(k, std::move(fill));
-            continue;
-          } else {
-            compute_fill.push_back(static_cast<int>(lead_fills.size()));
-            lead_fills.push_back(std::move(fill));
-          }
-        }
-        to_compute.push_back(PlannedQuery{&entry.pattern, &entry.summary});
-        compute_pos.push_back(k);
-      }
-      if (!to_compute.empty()) {
-        computed = shard->cache.AnswerPlannedConcurrent(to_compute, workers,
-                                                        pool, &state_->oracle);
-        if (memoize) {
-          // Memo-write faults are absorbed: `computed` (which `answer_of`
-          // points into) is already in hand, and unpublished lead fills
-          // abandon their flights on slice exit — waiters re-elect.
-          try {
-            fault::Point("service.memo_write");
-            for (size_t j = 0; j < computed.size(); ++j) {
-              // Keyed at the epoch observed under the stripe: if a writer
-              // has queued behind us, the entry is dead on arrival, never
-              // wrong. Publishing resolves the fill, waking every waiter.
-              AnswerCache::Entry entry{
-                  computed[j].answer, computed[j].delta,
-                  slice_slot->MemoValidity(computed[j].answer)};
-              const int f = compute_fill[j];
-              if (f >= 0) {
-                // discard: the shared entry is for waiters; the batch
-                // already holds this answer in `computed`.
-                (void)state_->answers.Publish(
-                    lead_fills[static_cast<size_t>(f)], std::move(entry));
-              } else {
-                state_->answers.Insert(
-                    {scope, epoch,
-                     plan[static_cast<size_t>(slice_plan[compute_pos[j]])]
-                         .fingerprint},
-                    std::move(entry));
-              }
-            }
-          } catch (const CancelledError&) {
-            throw;
-          } catch (const std::exception&) {
-          }
-        }
-      }
-      // Collect the joined fills (all our leads are already published). A
-      // null Wait() means every earlier leader of that key unwound and the
-      // re-elected flight is now OURS — keep the promoted fill so the
-      // recovery below publishes through it, waking the other waiters. A
-      // STALE waited entry (published by a leader whose stripe hold
-      // predates an intervening update) recomputes too, but without a
-      // flight — its refresh lands via a replacing Insert.
-      std::vector<std::pair<size_t, AnswerCache::Fill>> orphan_fills;
-      std::vector<size_t> stale_pos;
-      for (auto& [k, fill] : join_fills) {
-        memo_entries[k] = fill.Wait();
-        if (memo_entries[k] == nullptr) {
-          orphan_fills.emplace_back(k, std::move(fill));
-        } else if (!slice_slot->MemoFresh(*memo_entries[k])) {
-          memo_entries[k] = nullptr;
-          stale_pos.push_back(k);
-        }
-      }
-      if (!orphan_fills.empty() || !stale_pos.empty()) {
-        // Rare recovery path: compute the keys we now lead (or must
-        // refresh) ourselves — orphans first, then stale refreshes.
-        std::vector<PlannedQuery> orphan_queries;
-        orphan_queries.reserve(orphan_fills.size() + stale_pos.size());
-        for (const auto& [k, fill] : orphan_fills) {
-          const PlanEntry& entry = plan[static_cast<size_t>(slice_plan[k])];
-          orphan_queries.push_back(PlannedQuery{&entry.pattern, &entry.summary});
-        }
-        for (size_t k : stale_pos) {
-          const PlanEntry& entry = plan[static_cast<size_t>(slice_plan[k])];
-          orphan_queries.push_back(PlannedQuery{&entry.pattern, &entry.summary});
-        }
-        std::vector<PlannedAnswer> recovered = shard->cache.AnswerPlannedConcurrent(
-            orphan_queries, workers, pool, &state_->oracle);
-        for (size_t j = 0; j < recovered.size(); ++j) {
-          const bool orphan = j < orphan_fills.size();
-          const size_t k =
-              orphan ? orphan_fills[j].first : stale_pos[j - orphan_fills.size()];
-          const uint64_t validity =
-              slice_slot->MemoValidity(recovered[j].answer);
-          // The slice's answer must not depend on the memo write landing:
-          // keep a local entry, absorb memo-write faults (the abandoned
-          // flight re-elects among any remaining waiters).
-          memo_entries[k] = std::make_shared<const AnswerCache::Entry>(
-              AnswerCache::Entry{recovered[j].answer, recovered[j].delta,
-                                 validity});
-          try {
-            fault::Point("service.memo_write");
-            AnswerCache::Entry entry{recovered[j].answer, recovered[j].delta,
-                                     validity};
-            if (orphan) {
-              // discard: the shared entry is for waiters; `memo_entries[k]`
-              // was populated above from the same recovered answer.
-              (void)state_->answers.Publish(orphan_fills[j].second,
-                                            std::move(entry));
-            } else {
-              state_->answers.Insert(
-                  {scope, epoch,
-                   plan[static_cast<size_t>(slice_plan[k])].fingerprint},
-                  std::move(entry));
-            }
-          } catch (const CancelledError&) {
-            throw;
-          } catch (const std::exception&) {
-          }
-        }
-      }
-      // The distinct answers of this slice, by plan position: pointers into
-      // the shared memo entry (hits) or into `computed` (misses) — nothing
-      // is deep-copied until the per-request fan-out below.
-      std::vector<const CacheAnswer*> answer_of(slice_plan.size(), nullptr);
-      std::vector<const CacheStats*> delta_of(slice_plan.size(), nullptr);
-      for (size_t k = 0; k < slice_plan.size(); ++k) {
-        if (memo_entries[k] != nullptr) {
-          answer_of[k] = &memo_entries[k]->answer;
-          delta_of[k] = &memo_entries[k]->delta;
-        }
-      }
-      for (size_t j = 0; j < compute_pos.size(); ++j) {
-        answer_of[compute_pos[j]] = &computed[j].answer;
-        delta_of[compute_pos[j]] = &computed[j].delta;
-      }
+      ServeMemoRun(slice_slot, slice_plan.data(), slice_plan.size(), workers,
+                   pool, served.data());
 
       // Fold serving stats and fan the slice out in request order —
-      // duplicates replay the distinct entry's delta, exactly as the
-      // unplanned pipeline's fan-out did.
+      // duplicates replay the distinct entry's delta.
       CacheStats delta;
       for (size_t i : indices) {
         ++delta.queries;
@@ -1451,10 +1352,11 @@ BatchAnswers Service::AnswerBatchUnderScope(
           answers[i] = CacheAnswer{};  // Empty pattern: constant empty miss.
           continue;
         }
-        const size_t k = static_cast<size_t>(slice_pos.at(p));
-        delta.hits += delta_of[k]->hits;
-        delta.rewrite_unknown += delta_of[k]->rewrite_unknown;
-        answers[i] = *answer_of[k];
+        const AnswerCache::Entry& entry =
+            *served[static_cast<size_t>(slice_pos.at(p))];
+        delta.hits += entry.delta.hits;
+        delta.rewrite_unknown += entry.delta.rewrite_unknown;
+        answers[i] = entry.answer;
       }
       shard->FoldStats(delta);
     } catch (const CancelledError& e) {

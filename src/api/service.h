@@ -450,9 +450,10 @@ class Service {
   /// Answers one query against one document, probing the epoch-keyed
   /// answer memo first (a repeat of a recently answered query under an
   /// unchanged view set skips the rewrite engine; answers and serving
-  /// stats are identical either way). An empty pattern selects nothing
-  /// and answers with an empty miss (matching `ViewCache`); a malformed
-  /// XPath or stale/unknown document is a `ServiceError`.
+  /// stats are identical either way). It runs the same memo routine as
+  /// one `AnswerBatch` slice. An empty pattern selects nothing and
+  /// answers with an empty miss; a malformed XPath or stale/unknown
+  /// document is a `ServiceError`.
   /// Safe to call concurrently with other shared operations and with
   /// mutations of other documents.
   /// (`xpv::Answer` is qualified because the member name shadows it.)
@@ -549,6 +550,18 @@ class Service {
   /// planning-phase cancellation propagates to the wrapper.
   BatchAnswers AnswerBatchUnderScope(const std::vector<BatchItem>& items,
                                      int workers);
+  struct MemoQuery;  // One distinct query of a memo run.
+  /// The one answering routine behind `Answer` (one query) and
+  /// `AnswerBatch` (one call per document slice): serves `count` distinct
+  /// queries on `slot`, whose stripe the caller holds shared and whose
+  /// occupant is live. Each query is a memo hit (revalidated against the
+  /// per-view epochs), joins a fill in flight elsewhere, or is computed —
+  /// all misses of the run through one `ViewCache::Execute` call over
+  /// `workers` shards on `pool` — and memoized. Stores each answer with
+  /// its stats delta in `served[k]`; folding the deltas is the caller's.
+  void ServeMemoRun(DocSlot* slot, const MemoQuery* queries, size_t count,
+                    int workers, ThreadPool* pool,
+                    std::shared_ptr<const AnswerCache::Entry>* served);
   /// The call's effective cancellation token: the caller's deadline (or
   /// `options.default_deadline` when unset) linked to the caller's
   /// explicit cancel handle. Null when neither is configured.

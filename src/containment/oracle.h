@@ -47,7 +47,8 @@ class SynchronizedOracle;
 /// fallback's table (copying what they find), and only then compute. A
 /// fleet of shards over one frozen shared oracle is lock-free; after the
 /// batch, `AbsorbFrom` merges each shard's entries (and counters) back
-/// into the shared oracle. This is the `ViewCache::AnswerMany` pipeline.
+/// into the shared oracle. `ViewCache::Execute` runs its workers on such
+/// shards over a `SynchronizedOracle`.
 ///
 /// Because entries are keyed on pattern fingerprints only (documents never
 /// enter the cache), one oracle is safely shared across documents: the

@@ -44,6 +44,13 @@ std::string XPathParseError::Format(std::string_view input) const {
 
 namespace {
 
+/// Deepest predicate nesting the parser accepts. Each `[` level recurses
+/// through `ParsePredicates` and `ParseStep`, so the bound keeps the stack
+/// bounded on adversarial input. It sits far above anything the workload
+/// generator draws and the tests and examples write; `/`-step chains do
+/// not nest and stay unbounded.
+constexpr int kMaxPredicateDepth = 256;
+
 /// Recursive-descent parser over the grammar in the header. Every failure
 /// site records the byte offset of the offending character.
 class Parser {
@@ -182,7 +189,12 @@ class Parser {
     while (true) {
       SkipSpace();
       if (AtEnd() || Peek() != '[') return std::nullopt;
+      if (predicate_depth_ == kMaxPredicateDepth) {
+        return Here("predicates nested deeper than " +
+                    std::to_string(kMaxPredicateDepth));
+      }
       ++pos_;  // '['
+      ++predicate_depth_;
       SkipSpace();
       EdgeType first_edge = EdgeType::kChild;
       if (PeekIs("//")) {
@@ -197,6 +209,7 @@ class Parser {
         if (AtEnd()) return Here("unterminated predicate: expected ']'");
         if (Peek() == ']') {
           ++pos_;
+          --predicate_depth_;
           break;
         }
         EdgeType edge;
@@ -219,6 +232,7 @@ class Parser {
 
   std::string_view input_;
   size_t pos_ = 0;
+  int predicate_depth_ = 0;  // Open `[` levels at `pos_`.
 };
 
 }  // namespace

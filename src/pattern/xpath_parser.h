@@ -57,6 +57,9 @@ struct XPathParseError {
 /// bytes (labels like `café` are legal and interned as byte strings);
 /// names starting with '#' are rejected (reserved for internal labels).
 ///
+/// Predicates nest at most 256 levels deep: the `[` that would open one
+/// more is a parse error, which keeps the parser's stack bounded.
+///
 /// On failure the error carries the byte offset of the first offending
 /// character; the `xpv::Service` layer surfaces it (with caret context)
 /// through `ServiceError`.

@@ -29,7 +29,7 @@ struct NaturalCandidates {
 /// A (query, view) candidate set built once and shared: the natural
 /// candidates plus their compositions with the view — everything the
 /// engine's step-2 equivalence tests consume. Batch paths
-/// (`ViewCache::AnswerMany`, view-selection scoring) build one bundle per
+/// (`ViewCache::Execute`, view-selection scoring) build one bundle per
 /// (query, view) pair, push its forward containment pairs through
 /// `ContainmentOracle::ContainedMany`, and then hand the same bundle to
 /// `DecideRewrite` — which would otherwise reconstruct all four patterns

@@ -47,7 +47,7 @@ RewriteResult DecideRewrite(const Pattern& p, const Pattern& v,
 
   // Step 2: construct and test the natural candidates. With an oracle both
   // directions of an equivalence land in one two-direction cache entry
-  // (batch warm-ups, e.g. ViewCache::AnswerMany, prefill the forward
+  // (batch warm-ups, e.g. ViewCache::Execute, prefill the forward
   // direction via ContainedMany), and the reverse test still short-circuits
   // when the forward one fails.
   auto equivalent = [&options](const Pattern& a, const Pattern& b) {

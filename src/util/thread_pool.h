@@ -15,8 +15,8 @@
 namespace xpv {
 
 /// A small fixed-size worker pool: `num_threads` std::threads draining a
-/// FIFO work queue. Built for batch pipelines (`ViewCache::AnswerMany`)
-/// that submit a handful of chunk tasks and then barrier on `Wait`.
+/// FIFO work queue. Built for batch pipelines (`ViewCache::Execute`) that
+/// submit a handful of chunk tasks and then barrier on `Wait`.
 ///
 /// Semantics:
 ///  - `Submit` enqueues a task; any worker may pick it up.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
-#include <unordered_map>
 #include <utility>
 
 #include "eval/evaluator.h"
@@ -129,15 +127,8 @@ std::vector<std::vector<NodeId>> MaterializedView::ApplyMany(
 }
 
 ViewCache::ViewCache(const Tree& doc, RewriteOptions options,
-                     ContainmentOracle* oracle)
-    : doc_(&doc), options_(options) {
-  if (oracle == nullptr) {
-    owned_oracle_ = std::make_unique<ContainmentOracle>();
-    oracle = owned_oracle_.get();
-  }
-  oracle_ = oracle;
-  options_.oracle = oracle_;
-}
+                     ContainmentOracle* /*oracle*/)
+    : doc_(&doc), options_(options) {}
 
 ViewCache::~ViewCache() = default;
 ViewCache::ViewCache(ViewCache&&) noexcept = default;
@@ -308,136 +299,19 @@ bool ViewCache::FindRewrite(const Pattern& query,
   return false;
 }
 
-CacheAnswer ViewCache::ScanViews(const Pattern& query,
-                                 const SelectionSummary& summary,
-                                 int prebuilt_vi,
-                                 const CandidateBundle* prebuilt,
-                                 const RewriteOptions& options,
-                                 CacheStats* stats) const {
-  CacheAnswer answer;
-  int vi = -1;
-  if (FindRewrite(query, summary, prebuilt_vi, prebuilt, options, stats, &vi,
-                  &answer.rewriting)) {
-    const MaterializedView& view = views_[static_cast<size_t>(vi)];
-    answer.hit = true;
-    answer.view_slot = vi;
-    answer.view_name = view.definition().name;
-    answer.outputs = view.Apply(answer.rewriting);
-    return answer;
-  }
-  // Fallback: no view answers the query; evaluate over the full document.
-  // The thread-local kernel keeps the full-size DP tables allocated across
-  // fallbacks (they are by far the largest per-query buffers).
-  static thread_local EvalScratch fallback_scratch;
-  answer.outputs = Eval(query, *doc_, &fallback_scratch);
-  return answer;
-}
-
-CacheAnswer ViewCache::Answer(const Pattern& query) {
-  return AnswerThrough(query, oracle_, &stats_);
-}
-
-CacheAnswer ViewCache::AnswerThrough(const Pattern& query,
-                                     ContainmentOracle* oracle,
-                                     CacheStats* stats) const {
-  ++stats->queries;
-  // Υ selects nothing; the rewrite engine requires nonempty patterns.
-  if (query.IsEmpty()) return CacheAnswer{};
-  RewriteOptions options = options_;
-  options.oracle = oracle;
-  const SelectionSummary summary = SummarizeSelection(query);
-  return ScanViews(query, summary, -1, nullptr, options, stats);
-}
-
-CacheAnswer ViewCache::AnswerConcurrent(const Pattern& query,
-                                        SynchronizedOracle* shared,
-                                        CacheStats* stats) const {
-  // A private shard keeps the heavy containment work outside any lock:
-  // read-throughs take the shared lock, the merge the exclusive one.
-  ContainmentOracle local(shared->capacity());
-  shared->AttachShard(&local);
-  CacheAnswer answer = AnswerThrough(query, &local, stats);
-  shared->Absorb(local);
-  return answer;
-}
-
-std::vector<CacheAnswer> ViewCache::AnswerMany(
-    const std::vector<Pattern>& queries, int num_workers, ThreadPool* pool) {
-  return AnswerManyImpl(queries, num_workers, pool, &pool_, nullptr, &stats_);
-}
-
-std::vector<CacheAnswer> ViewCache::AnswerManyConcurrent(
-    const std::vector<Pattern>& queries, int num_workers, ThreadPool* pool,
-    SynchronizedOracle* shared, CacheStats* stats) const {
-  return AnswerManyImpl(queries, num_workers, pool, nullptr, shared, stats);
-}
-
-std::vector<PlannedAnswer> ViewCache::AnswerPlannedConcurrent(
+std::vector<PlannedAnswer> ViewCache::Execute(
     const std::vector<PlannedQuery>& queries, int num_workers,
-    ThreadPool* pool, SynchronizedOracle* shared) const {
-  return ExecutePlan(queries, num_workers, pool, nullptr, shared);
-}
-
-std::vector<CacheAnswer> ViewCache::AnswerManyImpl(
-    const std::vector<Pattern>& queries, int num_workers, ThreadPool* pool,
-    std::unique_ptr<ThreadPool>* lazy_pool, SynchronizedOracle* shared,
-    CacheStats* stats) const {
-  // One plan entry per *distinct* query (canonical fingerprint — the same
-  // identity the oracle keys on); duplicates are fanned out at the end.
-  std::deque<SelectionSummary> summaries;  // Stable addresses for the plan.
-  std::vector<PlannedQuery> plan;
-  std::vector<int> item_of(queries.size(), -1);
-  {
-    std::unordered_map<uint64_t, int> first_by_fp;
-    first_by_fp.reserve(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (queries[i].IsEmpty()) continue;
-      const uint64_t fp = queries[i].CanonicalFingerprint();
-      auto [it, inserted] =
-          first_by_fp.try_emplace(fp, static_cast<int>(plan.size()));
-      if (inserted) {
-        summaries.push_back(SummarizeSelection(queries[i]));
-        plan.push_back(PlannedQuery{&queries[i], &summaries.back()});
-      }
-      item_of[i] = it->second;
-    }
-  }
-
-  std::vector<PlannedAnswer> planned =
-      ExecutePlan(plan, num_workers, pool, lazy_pool, shared);
-
-  // Fan the distinct answers out to the original order; statistics
-  // accumulate exactly as a sequential Answer loop would have.
-  std::vector<CacheAnswer> answers;
-  answers.reserve(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ++stats->queries;
-    if (item_of[i] < 0) {
-      answers.push_back(CacheAnswer{});
-      continue;
-    }
-    const PlannedAnswer& item = planned[static_cast<size_t>(item_of[i])];
-    answers.push_back(item.answer);
-    stats->hits += item.delta.hits;
-    stats->rewrite_unknown += item.delta.rewrite_unknown;
-  }
-  return answers;
-}
-
-std::vector<PlannedAnswer> ViewCache::ExecutePlan(
-    const std::vector<PlannedQuery>& queries, int num_workers,
-    ThreadPool* pool, std::unique_ptr<ThreadPool>* lazy_pool,
-    SynchronizedOracle* shared) const {
+    ThreadPool* pool, SynchronizedOracle* oracle) const {
   std::vector<PlannedAnswer> answers(queries.size());
 
-  // Answers entries [begin, end) through `oracle`: builds each entry's
-  // candidate bundle over its first admissible view once, warms the oracle
+  // Answers entries [begin, end) through `shard`: builds each entry's
+  // candidate bundle over its first admissible view once, warms the shard
   // with the forward pairs in one ContainedMany batch, then scans. Runs on
   // worker threads; touches only the given range and local state.
   auto process = [this, &queries, &answers](int begin, int end,
-                                            ContainmentOracle* oracle) {
+                                            ContainmentOracle* shard) {
     RewriteOptions options = options_;
-    options.oracle = oracle;
+    options.oracle = shard;
     // Recycled per-worker bundle storage (stable addresses for `pairs`):
     // the pool outlives the chunk on its worker thread, so every chunk
     // after the first rebuilds its bundles into warm buffers.
@@ -461,14 +335,14 @@ std::vector<PlannedAnswer> ViewCache::ExecutePlan(
     }
     // discard: batch call warms the oracle's memo — the per-pair answers
     // are re-read from it by the DecideRewrite calls below.
-    (void)oracle->ContainedMany(pairs);
+    (void)shard->ContainedMany(pairs);
     // Rewrite decisions first, answer production batched afterwards: the
     // chunk's hits are grouped per view so each view runs ONE anchored DP
     // for all its rewritings (`ApplyMany`), and the misses share packed
     // full-document evaluations (`MultiEvaluator`) instead of one DP pass
     // per query. Per item the produced answer — and the stats delta, which
-    // `FindRewrite` fills during the decision — is identical to a
-    // sequential `ScanViews`.
+    // `FindRewrite` fills during the decision — is identical to applying
+    // the item's rewriting (or evaluating it) on its own.
     std::vector<std::pair<int, int>> hits;  // (view slot, item index).
     std::vector<int> misses;
     for (int ii = begin; ii < end; ++ii) {
@@ -537,82 +411,57 @@ std::vector<PlannedAnswer> ViewCache::ExecutePlan(
   };
 
   const int n_items = static_cast<int>(queries.size());
-  int workers = std::clamp(num_workers, 1, std::max(n_items, 1));
-  // Concurrent callers own pool creation; without one the batch runs on
-  // the calling thread (the chunk partition — and hence the answers and
-  // statistics — is unaffected by how chunks are executed).
-  if (pool == nullptr && lazy_pool == nullptr) workers = 1;
-  if (workers <= 1 || n_items <= 1) {
-    if (shared == nullptr) {
-      process(0, n_items, oracle_);
-    } else {
-      ContainmentOracle local(shared->capacity());
-      shared->AttachShard(&local);
-      process(0, n_items, &local);
-      shared->Absorb(local);
-    }
-  } else {
-    if (pool == nullptr) {
-      // Grow the private pool in place — never join a pool mid-life.
-      if (*lazy_pool == nullptr) {
-        *lazy_pool = std::make_unique<ThreadPool>(workers);
-      } else {
-        (*lazy_pool)->EnsureThreads(workers);
-      }
-      pool = lazy_pool->get();
-    }
-    // Per-worker shards read through the shared oracle: in single-owner
-    // mode it stays frozen until every worker has finished; in
-    // synchronized mode probes take the shared lock. The merge below
-    // publishes the batch's new entries (and counters) back into it.
-    std::vector<std::unique_ptr<ContainmentOracle>> shards;
-    shards.reserve(static_cast<size_t>(workers));
-    const size_t shard_capacity =
-        shared != nullptr ? shared->capacity() : oracle_->capacity();
-    for (int w = 0; w < workers; ++w) {
-      shards.push_back(std::make_unique<ContainmentOracle>(shard_capacity));
-      if (shared != nullptr) {
-        shared->AttachShard(shards.back().get());
-      } else {
-        shards.back()->set_fallback(oracle_);
-      }
-    }
-    // The group is awaited rather than the pool: the Service shares ONE
-    // pool across concurrent batches, and this batch must not wait out
-    // (or be starved by) the others' submissions. The group carries the
-    // submitting call's cancel token, and each worker task re-installs it
-    // as its thread's current token — the caller's deadline reaches the
-    // kernels on every worker, and once it expires the still-queued
-    // chunks are skipped instead of ground through.
-    const CancelToken cancel = CancelScope::Current();
-    ThreadPool::TaskGroup group(pool, cancel);
-    const int base = n_items / workers;
-    const int extra = n_items % workers;
-    int begin = 0;
-    for (int w = 0; w < workers; ++w) {
-      const int end = begin + base + (w < extra ? 1 : 0);
-      ContainmentOracle* shard = shards[static_cast<size_t>(w)].get();
-      group.Submit([&process, begin, end, shard, &cancel] {
-        CancelScope scope(cancel);
-        PollCancellation();  // Don't start a chunk on a dead deadline.
-        process(begin, end, shard);
-      });
-      begin = end;
-    }
-    group.Wait();
-    // Completed shards are absorbed even when a worker failed — their
-    // containment entries are valid regardless — and the first worker
-    // exception then resurfaces here with its original type, for the
-    // facade to map into a structured error.
-    for (const auto& shard : shards) {
-      if (shared != nullptr) {
-        shared->Absorb(*shard);
-      } else {
-        oracle_->AbsorbFrom(*shard);
-      }
-    }
-    group.RethrowIfFailed();
+  // Without a pool the batch runs as one chunk on the calling thread
+  // (answers and statistics do not depend on the chunk partition).
+  const int workers =
+      pool == nullptr ? 1 : std::clamp(num_workers, 1, std::max(n_items, 1));
+  if (workers == 1) {
+    // A private shard keeps the heavy containment work outside any lock:
+    // read-throughs take the shared lock, the merge the exclusive one.
+    ContainmentOracle local(oracle->capacity());
+    oracle->AttachShard(&local);
+    process(0, n_items, &local);
+    oracle->Absorb(local);
+    return answers;
   }
+  // Per-worker shards read through the shared oracle under its shared
+  // lock; the merge below publishes the batch's new entries (and
+  // counters) back into it.
+  std::vector<std::unique_ptr<ContainmentOracle>> shards;
+  shards.reserve(static_cast<size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
+    shards.push_back(std::make_unique<ContainmentOracle>(oracle->capacity()));
+    oracle->AttachShard(shards.back().get());
+  }
+  // The group is awaited rather than the pool: the Service shares ONE
+  // pool across concurrent batches, and this batch must not wait out (or
+  // be starved by) the others' submissions. The group carries the
+  // submitting call's cancel token, and each worker task re-installs it as
+  // its thread's current token — the caller's deadline reaches the kernels
+  // on every worker, and once it expires the still-queued chunks are
+  // skipped instead of ground through.
+  const CancelToken cancel = CancelScope::Current();
+  ThreadPool::TaskGroup group(pool, cancel);
+  const int base = n_items / workers;
+  const int extra = n_items % workers;
+  int begin = 0;
+  for (int w = 0; w < workers; ++w) {
+    const int end = begin + base + (w < extra ? 1 : 0);
+    ContainmentOracle* shard = shards[static_cast<size_t>(w)].get();
+    group.Submit([&process, begin, end, shard, &cancel] {
+      CancelScope scope(cancel);
+      PollCancellation();  // Don't start a chunk on a dead deadline.
+      process(begin, end, shard);
+    });
+    begin = end;
+  }
+  group.Wait();
+  // Completed shards are absorbed even when a worker failed — their
+  // containment entries are valid regardless — and the first worker
+  // exception then resurfaces here with its original type, for the facade
+  // to map into a structured error.
+  for (const auto& shard : shards) oracle->Absorb(*shard);
+  group.RethrowIfFailed();
   return answers;
 }
 

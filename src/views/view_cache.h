@@ -143,16 +143,17 @@ struct CacheAnswer {
   std::vector<NodeId> outputs;
 };
 
-/// Aggregate statistics of a cache session.
+/// Serving statistics: per answer the delta of its scan (see
+/// `PlannedAnswer`), summed by the caller into running totals.
 struct CacheStats {
   uint64_t queries = 0;
   uint64_t hits = 0;
   uint64_t rewrite_unknown = 0;  ///< Queries where some view got kUnknown.
 };
 
-/// One pre-resolved entry of a batch plan: a *distinct* (by canonical
+/// One pre-resolved entry of a plan: a *distinct* (by canonical
 /// fingerprint) nonempty query whose selection summary was already built by
-/// the planner. `Service::AnswerBatch` canonicalizes a cross-document batch
+/// the caller. `Service::AnswerBatch` canonicalizes a cross-document batch
 /// once — parse, fingerprint, summary per distinct query, service-wide —
 /// and hands every document slice these shared entries, so the per-query
 /// setup cost is paid once per batch instead of once per (document, query).
@@ -189,19 +190,17 @@ struct ViewUpdateStats {
 /// parts of the document outside the view; otherwise it falls back to
 /// direct evaluation.
 ///
-/// `AnswerMany` runs the batched pipeline: index pruning → one candidate
-/// bundle per distinct (query, first-admissible-view) pair, shared between
-/// the oracle warm-up and the engine → optional worker-parallel answering
-/// over per-worker oracle shards that read through the (frozen) shared
-/// oracle and are merged back afterwards (`ContainmentOracle::AbsorbFrom`).
+/// `Execute` is the one answering entry: index pruning → one candidate
+/// bundle per (query, first-admissible-view) pair, shared between the
+/// oracle warm-up and the engine → worker-parallel answering over
+/// per-worker oracle shards that read through the caller's synchronized
+/// oracle and are absorbed back into it afterwards.
 class ViewCache {
  public:
-  /// `doc` must outlive the cache. When `oracle` is non-null the cache
-  /// uses it instead of creating its own — the multi-document
-  /// `xpv::Service` injects ONE shared oracle into every per-document
-  /// cache so equivalence tests amortize across documents; it is not
-  /// owned and must outlive the cache. When null, the cache owns a
-  /// private oracle (heap-allocated, so moving the cache is safe).
+  /// `doc` must outlive the cache. `oracle` is unused: every `Execute`
+  /// call answers through the synchronized oracle its caller supplies.
+  /// The parameter stays only for source compatibility with existing
+  /// callers and may be dropped once none passes it.
   explicit ViewCache(const Tree& doc, RewriteOptions options = {},
                      ContainmentOracle* oracle = nullptr);
   ~ViewCache();
@@ -209,10 +208,8 @@ class ViewCache {
   ViewCache(const ViewCache&) = delete;
   ViewCache& operator=(const ViewCache&) = delete;
 
-  // Movable: the oracle lives on the heap (or externally), so the
-  // `options_.oracle` pointer stays valid across moves. A moved-from
-  // cache may only be destroyed or assigned to. (Defined out of line —
-  // the defaulted bodies need the complete ThreadPool type.)
+  // Movable (the document is held by pointer). A moved-from cache may only
+  // be destroyed or assigned to.
   ViewCache(ViewCache&&) noexcept;
   ViewCache& operator=(ViewCache&&) noexcept;
 
@@ -290,77 +287,30 @@ class ViewCache {
   /// removed or replaced, even across concurrent `AddView`s.
   const std::deque<MaterializedView>& views() const { return views_; }
 
-  /// Answers `query` (see CacheAnswer).
-  [[nodiscard]] CacheAnswer Answer(const Pattern& query);
-
-  /// Answers a batch of queries; the result (answers and `stats()` deltas)
-  /// is identical to looping `Answer`, for every worker count.
+  /// Answers the distinct, nonempty, summarized `queries` (one
+  /// `PlannedQuery` per canonical fingerprint; the `Service` batch planner
+  /// builds them once across all documents) and returns one
+  /// `PlannedAnswer` per entry, in order, with `delta.queries == 1`.
   ///
-  /// Batch-level work sharing: duplicate queries (by canonical
-  /// fingerprint) are answered once; each distinct query's
-  /// natural-candidate bundle over its first admissible view is built
-  /// exactly once and shared between the `ContainedMany` oracle warm-up
-  /// and `DecideRewrite`. With `num_workers` > 1 the distinct queries are
-  /// partitioned into `num_workers` chunks over a worker pool; each chunk
-  /// answers through its own oracle shard (reading through the shared
-  /// oracle, which is frozen for the duration of the batch), and the
-  /// shards are absorbed into the shared oracle afterwards, so the whole
-  /// batch is lock-free.
+  /// Per entry: first admissible view, candidate bundle shared between
+  /// the `ContainedMany` oracle warm-up and `DecideRewrite`, then the scan
+  /// in registration order. Hits are applied grouped per view
+  /// (`ApplyMany`), misses share packed full-document evaluations. The
+  /// entries are partitioned into `num_workers` chunks, each answered
+  /// through its own oracle shard that reads through `oracle` under its
+  /// shared lock and is absorbed back under the exclusive lock. The chunk
+  /// partition depends only on (queries.size(), num_workers), so answers
+  /// and deltas are worker-count-invariant. `pool` supplies the worker
+  /// threads (not owned; its thread count need not match `num_workers`);
+  /// when null the call runs as one chunk on the calling thread.
   ///
-  /// `pool`, when non-null, supplies the worker threads (not owned; the
-  /// `Service` layer shares ONE pool across all documents). Its thread
-  /// count need not match `num_workers` — the chunk/shard partition, and
-  /// hence the answers and statistics, depend only on `num_workers`.
-  /// When null, the cache lazily creates a private pool.
-  [[nodiscard]] std::vector<CacheAnswer> AnswerMany(
-      const std::vector<Pattern>& queries, int num_workers = 1,
-      ThreadPool* pool = nullptr);
-
-  // ------------------------------------------------- concurrent serving
-  //
-  // The const entry points below are the thread-safe `xpv::Service` path:
-  // they touch no ViewCache state (`stats_`, the owned oracle and the lazy
-  // pool stay untouched), answer through caller-provided oracles, and
-  // report statistics into a caller-owned delta. The caller must hold the
-  // view set stable for the duration of the call (the Service's per-shard
-  // stripe lock, in shared mode) — answers are identical to the mutating
-  // `Answer`/`AnswerMany` for every worker count.
-
-  /// Answers one query through `oracle` (read: a per-call shard the caller
-  /// later absorbs into its shared oracle). Adds the query/hit/unknown
-  /// counts of this one scan onto `*stats`.
-  [[nodiscard]] CacheAnswer AnswerThrough(const Pattern& query,
-                                          ContainmentOracle* oracle,
-                                          CacheStats* stats) const;
-
-  /// Answers one query via a private shard attached to `shared`
-  /// (read-through under the shared lock, absorbed back afterwards).
-  [[nodiscard]] CacheAnswer AnswerConcurrent(const Pattern& query,
-                                             SynchronizedOracle* shared,
-                                             CacheStats* stats) const;
-
-  /// The batched pipeline against a synchronized shared oracle: worker
-  /// shards read through `shared` under its shared lock and are absorbed
-  /// back under the exclusive lock. `pool` must be non-null when
-  /// `num_workers` > 1 (the Service owns pool creation); when null the
-  /// batch degrades to one worker. Answers and statistics are identical
-  /// to `AnswerMany` for every worker count.
-  [[nodiscard]] std::vector<CacheAnswer> AnswerManyConcurrent(
-      const std::vector<Pattern>& queries, int num_workers, ThreadPool* pool,
-      SynchronizedOracle* shared, CacheStats* stats) const;
-
-  /// The planner's flavor of the batched pipeline: `queries` are already
-  /// distinct, nonempty and summarized (one `PlannedQuery` per canonical
-  /// fingerprint — the `Service` batch planner builds them once across all
-  /// documents), so this runs only the per-(document, query) work: first
-  /// admissible view, candidate bundle, oracle warm-up, scan. Returns one
-  /// `PlannedAnswer` per entry, in order; `delta.queries` is always 1.
-  /// Same locking contract and worker semantics as `AnswerManyConcurrent`
-  /// — for identical inputs the answers and deltas are identical to it
-  /// for every worker count.
-  [[nodiscard]] std::vector<PlannedAnswer> AnswerPlannedConcurrent(
+  /// Const and thread-safe: the caller must hold the view set stable for
+  /// the duration of the call (the Service's per-document stripe lock, in
+  /// shared mode). The calling thread's cancel token reaches every
+  /// worker.
+  [[nodiscard]] std::vector<PlannedAnswer> Execute(
       const std::vector<PlannedQuery>& queries, int num_workers,
-      ThreadPool* pool, SynchronizedOracle* shared) const;
+      ThreadPool* pool, SynchronizedOracle* oracle) const;
 
   /// Points materialized-result byte accounting at the service's shared
   /// `MemoryBudget` (not owned; may be null). Charges the bytes of any
@@ -374,12 +324,6 @@ class ViewCache {
 
   /// Estimated bytes of all live materialized results.
   size_t resident_view_bytes() const { return charge_.bytes(); }
-
-  const CacheStats& stats() const { return stats_; }
-
-  /// The cache's memoizing containment oracle (repeated queries amortize
-  /// their equivalence tests through it).
-  const ContainmentOracle& oracle() const { return *oracle_; }
 
   /// The view-pruning index (per-view selection summaries).
   const ViewIndex& index() const { return index_; }
@@ -398,40 +342,8 @@ class ViewCache {
                    const RewriteOptions& options, CacheStats* stats,
                    int* vi_out, Pattern* rewriting_out) const;
 
-  /// `FindRewrite` plus the answer production: applies the rewriting on a
-  /// hit, evaluates the query over the full document on a miss. The
-  /// sequential serving path; the batched pipeline calls `FindRewrite`
-  /// directly and batches the applies/fallbacks per document instead.
-  CacheAnswer ScanViews(const Pattern& query, const SelectionSummary& summary,
-                        int prebuilt_vi, const CandidateBundle* prebuilt,
-                        const RewriteOptions& options,
-                        CacheStats* stats) const;
-
-  /// The shared batch pipeline behind `AnswerMany` (shared == nullptr:
-  /// single-owner mode on `oracle_`, with `lazy_pool` supplying the
-  /// private pool when no external one is given) and
-  /// `AnswerManyConcurrent` (shared != nullptr: shards read through /
-  /// absorb into `shared`; `lazy_pool` is null — the caller owns pools).
-  /// Dedups + summarizes, then runs `ExecutePlan` and fans the distinct
-  /// answers back out.
-  std::vector<CacheAnswer> AnswerManyImpl(
-      const std::vector<Pattern>& queries, int num_workers, ThreadPool* pool,
-      std::unique_ptr<ThreadPool>* lazy_pool, SynchronizedOracle* shared,
-      CacheStats* stats) const;
-
-  /// The execution core: answers the distinct, summarized `queries`
-  /// (bundle + warm-up + scan), partitioned over `num_workers` oracle
-  /// shards. The chunk partition depends only on (queries.size(),
-  /// num_workers), so answers and deltas are worker-count-invariant.
-  std::vector<PlannedAnswer> ExecutePlan(
-      const std::vector<PlannedQuery>& queries, int num_workers,
-      ThreadPool* pool, std::unique_ptr<ThreadPool>* lazy_pool,
-      SynchronizedOracle* shared) const;
-
   const Tree* doc_;
-  RewriteOptions options_;  // options_.oracle == oracle_.
-  std::unique_ptr<ContainmentOracle> owned_oracle_;  // Null when injected.
-  ContainmentOracle* oracle_;  // owned_oracle_.get() or the injected one.
+  RewriteOptions options_;  // `oracle` is set per call by Execute.
   std::deque<MaterializedView> views_;  // Stable slots; see views().
   std::vector<char> active_;  // Parallel to views_: 0 = tombstoned slot.
   std::vector<size_t> slot_bytes_;  // Parallel to views_: charged bytes.
@@ -442,9 +354,6 @@ class ViewCache {
   uint64_t doc_epoch_ = 0;  // See doc_epoch().
   std::vector<uint64_t> view_epochs_;  // Parallel to views_; see view_epoch().
   ViewIndex index_;
-  CacheStats stats_;
-  std::unique_ptr<ThreadPool> pool_;  // Lazily created by AnswerMany when
-                                      // no external pool is supplied.
 };
 
 }  // namespace xpv

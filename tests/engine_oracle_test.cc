@@ -1,10 +1,11 @@
 // Engine + oracle integration: memoized equivalence tests across repeated
-// decisions, and the ViewCache's built-in oracle.
+// decisions, and a ViewCache answering through a shared oracle.
 
 #include <gtest/gtest.h>
 
 #include "containment/oracle.h"
 #include "pattern/xpath_parser.h"
+#include "plan_util.h"
 #include "rewrite/engine.h"
 #include "views/view_cache.h"
 #include "xml/xml_parser.h"
@@ -52,14 +53,17 @@ TEST(EngineOracleTest, ViewCacheAmortizesAcrossQueries) {
   ASSERT_TRUE(doc.ok());
   ViewCache cache(doc.value());
   cache.AddView({"b-view", MustParseXPath("a/b")});
+  SynchronizedOracle oracle;
+  CacheStats stats;
   Pattern q = MustParseXPath("a/b/c");
-  (void)cache.Answer(q);  // discard: drives the memo; only the cache counters are asserted
-  uint64_t misses_after_first = cache.oracle().misses();
-  (void)cache.Answer(q);  // discard: drives the memo; only the cache counters are asserted
-  (void)cache.Answer(q);  // discard: drives the memo; only the cache counters are asserted
-  EXPECT_EQ(cache.oracle().misses(), misses_after_first);
-  EXPECT_GT(cache.oracle().hits(), 0u);
-  EXPECT_EQ(cache.stats().hits, 3u);
+  // Each call drives the oracle; only the counters are asserted.
+  testutil::AnswerOne(cache, q, &oracle, &stats);
+  uint64_t misses_after_first = oracle.misses();
+  testutil::AnswerOne(cache, q, &oracle, &stats);
+  testutil::AnswerOne(cache, q, &oracle, &stats);
+  EXPECT_EQ(oracle.misses(), misses_after_first);
+  EXPECT_GT(oracle.hits(), 0u);
+  EXPECT_EQ(stats.hits, 3u);
 }
 
 }  // namespace

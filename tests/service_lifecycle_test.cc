@@ -174,7 +174,7 @@ TEST(ServiceLifecycleTest, RemoveViewStopsAnsweringAndRecyclesTheSlot) {
 }
 
 TEST(ServiceLifecycleTest, RemovedViewNoLongerShadowsLaterViews) {
-  // ScanViews probes slots in order; a removed slot must be skipped, not
+  // The view scan probes slots in order; a removed slot must be skipped, not
   // answered from its tombstone.
   Service service;
   DocumentId doc =
@@ -366,7 +366,7 @@ TEST(ServiceLifecycleTest, ReAddingARemovedViewNameMintsAFreshHandle) {
 TEST(ServiceLifecycleTest, ViewChurnKeepsTheSlotTableBounded) {
   // Service-level half of the tombstone-recycling regression: sustained
   // AddView/RemoveView churn must not grow the per-document view table
-  // (or the index every ScanViews loop walks) without bound.
+  // (or the index every view scan walks) without bound.
   Service service;
   DocumentId doc = service.AddDocument(Doc("<a><b><c/></b></a>"));
   ServiceResult<ViewId> resident = service.AddView(doc, "keep", "a/b");

@@ -1,6 +1,7 @@
 // The multi-document serving facade: handle interning, Result-typed
-// failure paths (nothing aborts on user input), equivalence with direct
-// per-document ViewCache use, and the cross-document batch pipeline.
+// failure paths (nothing aborts on user input), and the cross-document
+// batch pipeline. Answers against the reference evaluator are checked in
+// execute_differential_test.cc.
 
 #include "api/service.h"
 
@@ -11,7 +12,6 @@
 
 #include "eval/evaluator.h"
 #include "pattern/xpath_parser.h"
-#include "views/view_cache.h"
 #include "xml/xml_parser.h"
 
 namespace xpv {
@@ -68,6 +68,21 @@ TEST(ServiceTest, MalformedViewXPathCarriesOffset) {
   EXPECT_EQ(service.num_views(doc), 0);
 }
 
+TEST(ServiceTest, DeeplyNestedQueryIsAParseErrorNotACrash) {
+  // A 40 000-deep predicate nest must not overflow the parser's stack
+  // inside Answer: it fails structurally at the '[' opening level 257.
+  Service service;
+  DocumentId doc = service.AddDocument(Doc("<a><b/></a>"));
+  std::string query = "a";
+  for (int i = 0; i < 40000; ++i) query += "[b";
+  query.append(40000, ']');
+  ServiceResult<Answer> answer = service.Answer(doc, query);
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.error().code, ServiceErrorCode::kParseError);
+  EXPECT_EQ(answer.error().offset, 1 + 2 * 256);
+  EXPECT_EQ(service.stats().failed_requests, 1u);
+}
+
 TEST(ServiceTest, DuplicateViewNameIsRejected) {
   Service service;
   DocumentId doc = service.AddDocument(Doc("<a><b/><c/></a>"));
@@ -106,49 +121,6 @@ TEST(ServiceTest, EmptyViewPatternIsRejected) {
   EXPECT_EQ(view.error().code, ServiceErrorCode::kEmptyPattern);
 }
 
-TEST(ServiceTest, EmptyPatternQueryAnswersLikeViewCache) {
-  // Υ selects nothing; the facade mirrors ViewCache::Answer instead of
-  // erroring, so pattern-level callers keep the same semantics.
-  Service service;
-  DocumentId doc = service.AddDocument(Doc("<a><b/></a>"));
-  ServiceResult<Answer> answer = service.Answer(doc, Pattern::Empty());
-  ASSERT_TRUE(answer.ok());
-  EXPECT_FALSE(answer.value().hit);
-  EXPECT_TRUE(answer.value().outputs.empty());
-}
-
-TEST(ServiceTest, AnswerEquivalentToDirectViewCachePerDocument) {
-  const char* xml =
-      "<a><b><c/><c><d/></c></b><b><c/><e/></b><x><b><c/></b><y/></x></a>";
-  const char* views[] = {"a/b", "a/x"};
-  const char* queries[] = {"a/b/c",  "a/b",   "a//b/c", "a/x/y",
-                           "a/b[e]", "a/q/r", "a/b/c/d"};
-
-  Service service;
-  DocumentId doc = service.AddDocument(Doc(xml));
-  Tree direct_doc = Doc(xml);
-  ViewCache direct(direct_doc);
-  int vi = 0;
-  for (const char* view : views) {
-    ASSERT_TRUE(
-        service.AddView(doc, "v" + std::to_string(vi++), view).ok());
-    direct.AddView({"v" + std::to_string(vi - 1), MustParseXPath(view)});
-  }
-  for (const char* query : queries) {
-    ServiceResult<Answer> answer = service.Answer(doc, query);
-    ASSERT_TRUE(answer.ok()) << query;
-    CacheAnswer expected = direct.Answer(MustParseXPath(query));
-    EXPECT_EQ(answer.value().hit, expected.hit) << query;
-    EXPECT_EQ(answer.value().view_name, expected.view_name) << query;
-    EXPECT_EQ(answer.value().outputs, expected.outputs) << query;
-    EXPECT_EQ(answer.value().rewriting.CanonicalEncoding(),
-              expected.rewriting.CanonicalEncoding())
-        << query;
-  }
-  EXPECT_EQ(service.stats().queries, direct.stats().queries);
-  EXPECT_EQ(service.stats().hits, direct.stats().hits);
-}
-
 TEST(ServiceTest, BatchFailedSlotsDoNotDisturbTheOthers) {
   Service service;
   DocumentId doc = service.AddDocument(Doc("<a><b><c/></b></a>"));
@@ -180,87 +152,6 @@ TEST(ServiceTest, BatchFailedSlotsDoNotDisturbTheOthers) {
 
   EXPECT_EQ(service.stats().failed_requests, 2u);
   EXPECT_EQ(service.stats().queries, 2u);
-}
-
-TEST(ServiceTest, CrossDocumentBatchMatchesPerDocumentAnswerManyLoops) {
-  // Service::AnswerBatch over N documents must return exactly what a
-  // per-document ViewCache::AnswerMany loop returns, for every worker
-  // count (the acceptance bar of the api_redesign issue).
-  struct DocSpec {
-    const char* xml;
-    std::vector<const char*> views;
-  };
-  const DocSpec specs[] = {
-      {"<a><b><c/><c><d/></c></b><b><e/></b></a>", {"a/b"}},
-      {"<a><x><b><c/></b></x><b><c/></b></a>", {"a//b", "a/x"}},
-      {"<r><s><t/><t><u/></t></s></r>", {"r/s"}},
-  };
-  const char* queries[] = {"a/b/c",   "a/b",   "a//b/c", "r/s/t",
-                           "a/x/b/c", "r/s/t/u", "a/b/c", "q/z"};
-
-  for (int workers : {1, 2, 4}) {
-    SCOPED_TRACE(workers);
-    Service service;
-    std::vector<DocumentId> ids;
-    // Direct per-document twins, sharing nothing with the service.
-    std::vector<Tree> twin_docs;
-    twin_docs.reserve(3);
-    std::vector<ViewCache> twins;
-    twins.reserve(3);
-    for (const DocSpec& spec : specs) {
-      DocumentId id = service.AddDocument(Doc(spec.xml));
-      ids.push_back(id);
-      twin_docs.push_back(Doc(spec.xml));
-      twins.emplace_back(twin_docs.back());
-      int vi = 0;
-      for (const char* view : spec.views) {
-        std::string name = "v" + std::to_string(vi++);
-        ASSERT_TRUE(service.AddView(id, name, view).ok());
-        twins.back().AddView({name, MustParseXPath(view)});
-      }
-    }
-
-    // Round-robin the queries over the documents.
-    std::vector<BatchItem> items;
-    std::vector<std::vector<Pattern>> per_doc(3);
-    for (size_t i = 0; i < std::size(queries); ++i) {
-      const size_t d = i % 3;
-      items.push_back({ids[d], queries[i]});
-      per_doc[d].push_back(MustParseXPath(queries[i]));
-    }
-
-    ServiceResult<BatchAnswers> batch = service.AnswerBatch(items, workers);
-    ASSERT_TRUE(batch.ok());
-    ASSERT_EQ(batch.value().size(), items.size());
-
-    std::vector<std::vector<CacheAnswer>> expected;
-    for (size_t d = 0; d < 3; ++d) {
-      expected.push_back(twins[d].AnswerMany(per_doc[d], workers));
-    }
-    std::vector<size_t> next(3, 0);
-    for (size_t i = 0; i < items.size(); ++i) {
-      const size_t d = i % 3;
-      ASSERT_TRUE(batch.value().answers[i].ok()) << i;
-      const Answer& actual = batch.value().answers[i].value();
-      const CacheAnswer& want = expected[d][next[d]++];
-      EXPECT_EQ(actual.hit, want.hit) << i;
-      EXPECT_EQ(actual.view_name, want.view_name) << i;
-      EXPECT_EQ(actual.outputs, want.outputs) << i;
-      EXPECT_EQ(actual.rewriting.CanonicalEncoding(),
-                want.rewriting.CanonicalEncoding())
-          << i;
-    }
-    // Aggregated statistics equal the sum of the per-document loops.
-    uint64_t want_queries = 0, want_hits = 0;
-    for (const ViewCache& twin : twins) {
-      want_queries += twin.stats().queries;
-      want_hits += twin.stats().hits;
-    }
-    EXPECT_EQ(service.stats().queries, want_queries);
-    EXPECT_EQ(service.stats().hits, want_hits);
-    EXPECT_EQ(service.stats().documents, 3u);
-    EXPECT_EQ(service.stats().views, 4u);
-  }
 }
 
 TEST(ServiceTest, SharedOracleAmortizesAcrossDocuments) {

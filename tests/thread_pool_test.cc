@@ -10,6 +10,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -256,6 +257,20 @@ TEST(ThreadPoolTest, TaskGroupDegradesToInlineOnFullQueue) {
   EXPECT_EQ(ran.load(), 6);
   EXPECT_GE(inline_runs.load(), 1);  // The overflow ran caller-side.
   EXPECT_GE(pool.queue_rejections(), 1u);
+}
+
+TEST(ThreadPoolTest, RunsAllTasksAcrossWaitCycles) {
+  ThreadPool pool(4);
+  std::vector<int> results(64, 0);
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    for (int i = 0; i < 64; ++i) {
+      pool.Submit([&results, i] { results[static_cast<size_t>(i)] += i; });
+    }
+    pool.Wait();
+  }
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(results[static_cast<size_t>(i)], 3 * i);
+  }
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include "eval/evaluator.h"
 #include "pattern/algebra.h"
 #include "pattern/xpath_parser.h"
-#include "util/thread_pool.h"
+#include "plan_util.h"
 #include "xml/xml_parser.h"
 
 namespace xpv {
@@ -57,15 +57,25 @@ TEST(MaterializedViewTest, EmptyViewResult) {
   EXPECT_TRUE(view.Apply(MustParseXPath("b/c")).empty());
 }
 
+/// Answers one query through `Execute` on a fresh private oracle.
+CacheAnswer AnswerOne(const ViewCache& cache, const Pattern& query) {
+  SynchronizedOracle oracle;
+  CacheStats stats;
+  return testutil::AnswerOne(cache, query, &oracle, &stats);
+}
+
 TEST(ViewCacheTest, HitAnswersFromView) {
   Tree doc = Doc("<a><b><c/><c/></b><b/></a>");
   ViewCache cache(doc);
   cache.AddView({"b-view", MustParseXPath("a/b")});
-  CacheAnswer answer = cache.Answer(MustParseXPath("a/b/c"));
+  SynchronizedOracle oracle;
+  CacheStats stats;
+  CacheAnswer answer = testutil::AnswerOne(cache, MustParseXPath("a/b/c"),
+                                           &oracle, &stats);
   EXPECT_TRUE(answer.hit);
   EXPECT_EQ(answer.view_name, "b-view");
   EXPECT_EQ(answer.outputs, Eval(MustParseXPath("a/b/c"), doc));
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(stats.hits, 1u);
 }
 
 TEST(ViewCacheTest, MissFallsBackToDirectEvaluation) {
@@ -73,11 +83,15 @@ TEST(ViewCacheTest, MissFallsBackToDirectEvaluation) {
   ViewCache cache(doc);
   cache.AddView({"b-view", MustParseXPath("a/b")});
   // No rewriting of a/x/y using a/b (label mismatch at depth 1).
-  CacheAnswer answer = cache.Answer(MustParseXPath("a/x/y"));
+  SynchronizedOracle oracle;
+  CacheStats stats;
+  CacheAnswer answer = testutil::AnswerOne(cache, MustParseXPath("a/x/y"),
+                                           &oracle, &stats);
   EXPECT_FALSE(answer.hit);
+  EXPECT_EQ(answer.view_slot, -1);
   EXPECT_EQ(answer.outputs, Eval(MustParseXPath("a/x/y"), doc));
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().queries, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.queries, 1u);
 }
 
 TEST(ViewCacheTest, PicksAViewThatWorks) {
@@ -85,9 +99,10 @@ TEST(ViewCacheTest, PicksAViewThatWorks) {
   ViewCache cache(doc);
   cache.AddView({"x-view", MustParseXPath("a/x")});
   cache.AddView({"bc-view", MustParseXPath("a/b/c")});
-  CacheAnswer answer = cache.Answer(MustParseXPath("a/b/c/d"));
+  CacheAnswer answer = AnswerOne(cache, MustParseXPath("a/b/c/d"));
   EXPECT_TRUE(answer.hit);
   EXPECT_EQ(answer.view_name, "bc-view");
+  EXPECT_EQ(answer.view_slot, 1);
   EXPECT_EQ(answer.outputs, Eval(MustParseXPath("a/b/c/d"), doc));
 }
 
@@ -97,104 +112,78 @@ TEST(ViewCacheTest, HitAgreesWithDirectOnWildcardViews) {
   ViewCache cache(doc);
   cache.AddView({"star", MustParseXPath("a/*")});
   // Query a//*/b rewrites over a/* via the relaxed candidate *//b.
-  CacheAnswer answer = cache.Answer(MustParseXPath("a//*/b"));
+  CacheAnswer answer = AnswerOne(cache, MustParseXPath("a//*/b"));
   EXPECT_TRUE(answer.hit);
   EXPECT_EQ(answer.outputs, Eval(MustParseXPath("a//*/b"), doc));
 }
 
 TEST(ViewCacheTest, StatsAccumulate) {
+  // One plan, one delta per entry: the deltas sum to the plan's counts.
   Tree doc = Doc("<a><b><c/></b></a>");
   ViewCache cache(doc);
   cache.AddView({"b-view", MustParseXPath("a/b")});
-  (void)cache.Answer(MustParseXPath("a/b/c"));   // Hit.  // discard: only the stats counters are asserted
-  (void)cache.Answer(MustParseXPath("a/b"));     // Hit (k = d).  // discard: only the stats counters are asserted
-  (void)cache.Answer(MustParseXPath("x/y"));     // Miss (root mismatch).  // discard: only the stats counters are asserted
-  EXPECT_EQ(cache.stats().queries, 3u);
-  EXPECT_EQ(cache.stats().hits, 2u);
+  const std::vector<Pattern> queries = {
+      MustParseXPath("a/b/c"),  // Hit.
+      MustParseXPath("a/b"),    // Hit (k = d).
+      MustParseXPath("x/y"),    // Miss (root mismatch).
+  };
+  testutil::TestPlan plan = testutil::MakePlan(queries);
+  SynchronizedOracle oracle;
+  std::vector<PlannedAnswer> answers =
+      cache.Execute(plan.entries, 1, nullptr, &oracle);
+  CacheStats total;
+  for (const PlannedAnswer& answer : answers) {
+    EXPECT_EQ(answer.delta.queries, 1u);
+    EXPECT_EQ(answer.delta.hits, answer.answer.hit ? 1u : 0u);
+    total.queries += answer.delta.queries;
+    total.hits += answer.delta.hits;
+  }
+  EXPECT_EQ(total.queries, 3u);
+  EXPECT_EQ(total.hits, 2u);
 }
 
 TEST(ViewCacheTest, CacheIsMovable) {
-  // The oracle lives behind a stable pointer (owned heap allocation or an
-  // injected external one), so a cache can move — e.g. into the vector of
-  // per-document shards the Service layer keeps.
+  // The document is held by pointer and the oracle is the caller's, so a
+  // cache can move — e.g. into the per-document shard the Service keeps —
+  // and keep answering through the entries warmed before the move.
   Tree doc = Doc("<a><b><c/></b><b/></a>");
   ViewCache original(doc);
   original.AddView({"b-view", MustParseXPath("a/b")});
-  CacheAnswer before = original.Answer(MustParseXPath("a/b/c"));
+  SynchronizedOracle oracle;
+  CacheStats stats;
+  const Pattern query = MustParseXPath("a/b/c");
+  CacheAnswer before = testutil::AnswerOne(original, query, &oracle, &stats);
+  const uint64_t misses = oracle.misses();
 
   ViewCache moved = std::move(original);
-  CacheAnswer after = moved.Answer(MustParseXPath("a/b/c"));
+  CacheAnswer after = testutil::AnswerOne(moved, query, &oracle, &stats);
   EXPECT_EQ(after.hit, before.hit);
   EXPECT_EQ(after.outputs, before.outputs);
-  EXPECT_EQ(moved.stats().queries, 2u);
-  // The second answer reuses the oracle entries warmed before the move.
-  EXPECT_GT(moved.oracle().hits(), 0u);
+  EXPECT_EQ(oracle.misses(), misses);
+  EXPECT_GT(oracle.hits(), 0u);
 
   ViewCache assigned(doc);
   assigned = std::move(moved);
-  EXPECT_EQ(assigned.Answer(MustParseXPath("a/b/c")).outputs, before.outputs);
+  EXPECT_EQ(AnswerOne(assigned, query).outputs, before.outputs);
 }
 
 TEST(ViewCacheTest, ExternalOracleIsSharedAcrossCaches) {
   Tree doc1 = Doc("<a><b><c/></b></a>");
   Tree doc2 = Doc("<a><b><c/><c/></b></a>");
-  ContainmentOracle oracle;
-  ViewCache cache1(doc1, RewriteOptions{}, &oracle);
-  ViewCache cache2(doc2, RewriteOptions{}, &oracle);
+  SynchronizedOracle oracle;
+  ViewCache cache1(doc1);
+  ViewCache cache2(doc2);
   cache1.AddView({"v", MustParseXPath("a/b")});
   cache2.AddView({"v", MustParseXPath("a/b")});
 
-  EXPECT_TRUE(cache1.Answer(MustParseXPath("a/b/c")).hit);
+  CacheStats stats;
+  const Pattern query = MustParseXPath("a/b/c");
+  EXPECT_TRUE(testutil::AnswerOne(cache1, query, &oracle, &stats).hit);
   const uint64_t misses = oracle.misses();
   // The same (query, view) shape on another document reuses the shared
   // oracle's entries: no new containment computations.
-  EXPECT_TRUE(cache2.Answer(MustParseXPath("a/b/c")).hit);
+  EXPECT_TRUE(testutil::AnswerOne(cache2, query, &oracle, &stats).hit);
   EXPECT_EQ(oracle.misses(), misses);
-  EXPECT_EQ(&cache1.oracle(), &oracle);
-}
-
-TEST(ViewCacheTest, AnswerManyUsesExternalPool) {
-  Tree doc = Doc("<a><b><c/></b><b><c/><d/></b></a>");
-  ThreadPool pool(2);
-  ViewCache cache(doc);
-  cache.AddView({"b-view", MustParseXPath("a/b")});
-  std::vector<Pattern> queries = {MustParseXPath("a/b/c"),
-                                  MustParseXPath("a/b/d"),
-                                  MustParseXPath("a/b")};
-  std::vector<CacheAnswer> answers = cache.AnswerMany(queries, 4, &pool);
-  ViewCache sequential(doc);
-  sequential.AddView({"b-view", MustParseXPath("a/b")});
-  ASSERT_EQ(answers.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    CacheAnswer expected = sequential.Answer(queries[i]);
-    EXPECT_EQ(answers[i].hit, expected.hit) << i;
-    EXPECT_EQ(answers[i].outputs, expected.outputs) << i;
-  }
-}
-
-TEST(ViewCacheTest, AnswerManyMatchesSequentialAnswers) {
-  Tree doc = Doc("<a><b><c/></b><b><c/><d/></b><x><b><c/></b></x></a>");
-  std::vector<Pattern> queries = {
-      MustParseXPath("a/b/c"), MustParseXPath("a/b"),
-      MustParseXPath("a//b/d"), MustParseXPath("x/y"),
-      MustParseXPath("a/b/c")};
-
-  ViewCache batched(doc);
-  batched.AddView({"b-view", MustParseXPath("a/b")});
-  std::vector<CacheAnswer> answers = batched.AnswerMany(queries);
-
-  ViewCache sequential(doc);
-  sequential.AddView({"b-view", MustParseXPath("a/b")});
-  ASSERT_EQ(answers.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    CacheAnswer expected = sequential.Answer(queries[i]);
-    EXPECT_EQ(answers[i].hit, expected.hit) << i;
-    EXPECT_EQ(answers[i].outputs, expected.outputs) << i;
-  }
-  EXPECT_EQ(batched.stats().queries, queries.size());
-  // The warm-up batch precomputed the equivalence tests, so the per-query
-  // scans answered containment questions from the oracle's cache.
-  EXPECT_GT(batched.oracle().hits(), 0u);
 }
 
 TEST(ViewCacheTest, RemoveAndReplaceViewLifecycle) {
@@ -203,13 +192,13 @@ TEST(ViewCacheTest, RemoveAndReplaceViewLifecycle) {
   const int b_slot = cache.AddView({"b-view", MustParseXPath("a/b")});
   EXPECT_EQ(cache.num_active_views(), 1);
   EXPECT_TRUE(cache.view_active(b_slot));
-  EXPECT_TRUE(cache.Answer(MustParseXPath("a/b/c")).hit);
+  EXPECT_TRUE(AnswerOne(cache, MustParseXPath("a/b/c")).hit);
 
   cache.RemoveView(b_slot);
   EXPECT_EQ(cache.num_active_views(), 0);
   EXPECT_FALSE(cache.view_active(b_slot));
   // The tombstoned slot is skipped, the answer still correct (direct).
-  CacheAnswer miss = cache.Answer(MustParseXPath("a/b/c"));
+  CacheAnswer miss = AnswerOne(cache, MustParseXPath("a/b/c"));
   EXPECT_FALSE(miss.hit);
   EXPECT_EQ(miss.outputs, Eval(MustParseXPath("a/b/c"), doc));
   // The materialized data was dropped with the tombstone.
@@ -218,7 +207,7 @@ TEST(ViewCacheTest, RemoveAndReplaceViewLifecycle) {
   cache.ReplaceView(b_slot, {"d-view", MustParseXPath("a/d")});
   EXPECT_EQ(cache.num_active_views(), 1);
   EXPECT_TRUE(cache.view_active(b_slot));
-  CacheAnswer hit = cache.Answer(MustParseXPath("a/d/e"));
+  CacheAnswer hit = AnswerOne(cache, MustParseXPath("a/d/e"));
   EXPECT_TRUE(hit.hit);
   EXPECT_EQ(hit.view_name, "d-view");
   EXPECT_EQ(hit.outputs, Eval(MustParseXPath("a/d/e"), doc));
@@ -227,7 +216,7 @@ TEST(ViewCacheTest, RemoveAndReplaceViewLifecycle) {
 TEST(ViewCacheTest, AddRemoveChurnRecyclesTombstonedSlots) {
   // Regression: AddView used to append a brand-new slot forever, so
   // add/remove churn grew views_/active_/ViewIndex without bound (and
-  // every ScanViews loop with them). Tombstoned slots must be recycled.
+  // every view scan with them). Tombstoned slots must be recycled.
   Tree doc = Doc("<a><b><c/></b><d/></a>");
   ViewCache cache(doc);
   const int slot = cache.AddView({"v0", MustParseXPath("a/b")});
@@ -245,7 +234,7 @@ TEST(ViewCacheTest, AddRemoveChurnRecyclesTombstonedSlots) {
     EXPECT_EQ(cache.num_active_views(), 1);
   }
   // The recycled slot answers for its current definition.
-  CacheAnswer hit = cache.Answer(MustParseXPath("a/b/c"));
+  CacheAnswer hit = AnswerOne(cache, MustParseXPath("a/b/c"));
   EXPECT_TRUE(hit.hit);
   EXPECT_EQ(hit.view_name, "v100");
   EXPECT_EQ(hit.outputs, Eval(MustParseXPath("a/b/c"), doc));
@@ -265,8 +254,8 @@ TEST(ViewCacheTest, ReplaceViewUnlinksTheSlotFromTheFreeList) {
   const int fresh = cache.AddView({"b-again", MustParseXPath("a/b")});
   EXPECT_NE(fresh, slot);
   EXPECT_EQ(cache.num_active_views(), 2);
-  EXPECT_TRUE(cache.Answer(MustParseXPath("a/d/e")).hit);
-  EXPECT_TRUE(cache.Answer(MustParseXPath("a/b/c")).hit);
+  EXPECT_TRUE(AnswerOne(cache, MustParseXPath("a/d/e")).hit);
+  EXPECT_TRUE(AnswerOne(cache, MustParseXPath("a/b/c")).hit);
 }
 
 TEST(ViewCacheTest, EpochBumpsOnEveryViewSetMutation) {
@@ -289,106 +278,6 @@ TEST(ViewCacheTest, EpochBumpsOnEveryViewSetMutation) {
   EXPECT_EQ(cache.epoch(), last);
   cache.AddView({"x", MustParseXPath("a/b")});  // Recycles the slot.
   EXPECT_GT(cache.epoch(), last);
-}
-
-TEST(ViewCacheTest, ConcurrentEntryPointsMatchMutatingOnes) {
-  // The const AnswerThrough/AnswerConcurrent/AnswerManyConcurrent paths
-  // (the thread-safe Service's route) must produce exactly the answers
-  // and statistics of the mutating Answer/AnswerMany.
-  Tree doc = Doc("<a><b><c/></b><b><c/><d/></b><x><b><c/></b></x></a>");
-  std::vector<Pattern> queries = {
-      MustParseXPath("a/b/c"), MustParseXPath("a/b"),
-      MustParseXPath("a//b/d"), MustParseXPath("x/y"),
-      MustParseXPath("a/b/c")};
-
-  ViewCache mutating(doc);
-  mutating.AddView({"b-view", MustParseXPath("a/b")});
-
-  const ViewCache concurrent_cache = [&doc] {
-    ViewCache cache(doc);
-    cache.AddView({"b-view", MustParseXPath("a/b")});
-    return cache;
-  }();
-  SynchronizedOracle shared;
-  CacheStats delta;
-
-  for (const Pattern& query : queries) {
-    CacheAnswer expected = mutating.Answer(query);
-    CacheAnswer actual =
-        concurrent_cache.AnswerConcurrent(query, &shared, &delta);
-    EXPECT_EQ(actual.hit, expected.hit);
-    EXPECT_EQ(actual.view_name, expected.view_name);
-    EXPECT_EQ(actual.outputs, expected.outputs);
-  }
-  EXPECT_EQ(delta.queries, mutating.stats().queries);
-  EXPECT_EQ(delta.hits, mutating.stats().hits);
-  EXPECT_EQ(delta.rewrite_unknown, mutating.stats().rewrite_unknown);
-  // The concurrent path never touched the cache's own state.
-  EXPECT_EQ(concurrent_cache.stats().queries, 0u);
-  EXPECT_EQ(concurrent_cache.oracle().size(), 0u);
-
-  // Batch flavor, against a pool-backed AnswerMany.
-  ThreadPool pool(2);
-  std::vector<CacheAnswer> expected_batch =
-      mutating.AnswerMany(queries, 2, &pool);
-  CacheStats batch_delta;
-  std::vector<CacheAnswer> actual_batch =
-      concurrent_cache.AnswerManyConcurrent(queries, 2, &pool, &shared,
-                                            &batch_delta);
-  ASSERT_EQ(actual_batch.size(), expected_batch.size());
-  for (size_t i = 0; i < expected_batch.size(); ++i) {
-    EXPECT_EQ(actual_batch[i].hit, expected_batch[i].hit) << i;
-    EXPECT_EQ(actual_batch[i].outputs, expected_batch[i].outputs) << i;
-  }
-  EXPECT_EQ(batch_delta.queries, queries.size());
-}
-
-TEST(ViewCacheTest, PlannedPipelineMatchesAnswerManyForEveryWorkerCount) {
-  // AnswerPlannedConcurrent (the Service batch planner's entry point:
-  // distinct queries, caller-built summaries) must produce exactly the
-  // answers and per-scan deltas of AnswerManyConcurrent on the same
-  // distinct queries, for every worker count.
-  Tree doc = Doc("<a><b><c/></b><b><c/><d/></b><x><b><c/></b></x></a>");
-  ViewCache cache(doc);
-  cache.AddView({"b-view", MustParseXPath("a/b")});
-  std::vector<Pattern> distinct = {
-      MustParseXPath("a/b/c"), MustParseXPath("a/b"),
-      MustParseXPath("a//b/d"), MustParseXPath("x/y")};
-  std::vector<SelectionSummary> summaries;
-  summaries.reserve(distinct.size());
-  for (const Pattern& q : distinct) summaries.push_back(SummarizeSelection(q));
-  std::vector<PlannedQuery> plan;
-  for (size_t i = 0; i < distinct.size(); ++i) {
-    plan.push_back(PlannedQuery{&distinct[i], &summaries[i]});
-  }
-
-  ThreadPool pool(4);
-  for (int workers : {1, 2, 4}) {
-    SCOPED_TRACE(workers);
-    SynchronizedOracle reference_oracle;
-    CacheStats reference_delta;
-    std::vector<CacheAnswer> reference = cache.AnswerManyConcurrent(
-        distinct, workers, &pool, &reference_oracle, &reference_delta);
-
-    SynchronizedOracle planned_oracle;
-    std::vector<PlannedAnswer> planned =
-        cache.AnswerPlannedConcurrent(plan, workers, &pool, &planned_oracle);
-
-    ASSERT_EQ(planned.size(), reference.size());
-    CacheStats total;
-    for (size_t i = 0; i < planned.size(); ++i) {
-      EXPECT_EQ(planned[i].answer.hit, reference[i].hit) << i;
-      EXPECT_EQ(planned[i].answer.view_name, reference[i].view_name) << i;
-      EXPECT_EQ(planned[i].answer.outputs, reference[i].outputs) << i;
-      EXPECT_EQ(planned[i].delta.queries, 1u) << i;
-      total.queries += planned[i].delta.queries;
-      total.hits += planned[i].delta.hits;
-      total.rewrite_unknown += planned[i].delta.rewrite_unknown;
-    }
-    EXPECT_EQ(total.queries, reference_delta.queries);
-    EXPECT_EQ(total.hits, reference_delta.hits);
-    EXPECT_EQ(total.rewrite_unknown, reference_delta.rewrite_unknown);
-  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "pattern/xpath_parser.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "pattern/properties.h"
@@ -117,6 +119,38 @@ TEST(XPathParserTest, ErrorsCarryByteOffsets) {
     EXPECT_EQ(result.error().offset, c.offset)
         << c.input << ": " << result.error().message;
   }
+}
+
+/// "a" followed by `depth` nested "[b" ... "]" predicates.
+std::string NestedPredicates(int depth) {
+  std::string expr = "a";
+  for (int i = 0; i < depth; ++i) expr += "[b";
+  expr.append(static_cast<size_t>(depth), ']');
+  return expr;
+}
+
+TEST(XPathParserTest, DeepPredicateNestingIsAParseErrorNotACrash) {
+  // Each '[' level recurses, so an unbounded nest (40 000 deep here)
+  // would overflow the stack. The '[' that would open level 257 is a
+  // structured error at its byte offset ("a" + 256 * "[b" precede it).
+  for (int depth : {257, 40000}) {
+    Result<Pattern, XPathParseError> result =
+        ParseXPathDetailed(NestedPredicates(depth));
+    ASSERT_FALSE(result.ok()) << depth;
+    EXPECT_EQ(result.error().offset, 1u + 2u * 256u) << depth;
+    EXPECT_NE(result.error().message.find("nested deeper than 256"),
+              std::string::npos)
+        << result.error().message;
+  }
+  // The deepest accepted nest parses into one chain of branches.
+  Result<Pattern, XPathParseError> deepest =
+      ParseXPathDetailed(NestedPredicates(256));
+  ASSERT_TRUE(deepest.ok()) << deepest.error().message;
+  EXPECT_EQ(deepest.value().size(), 257);
+  // Sibling predicates do not nest: many of them stay legal.
+  std::string siblings = "a";
+  for (int i = 0; i < 1000; ++i) siblings += "[b]";
+  EXPECT_TRUE(ParseXPathDetailed(siblings).ok());
 }
 
 TEST(XPathParserTest, ErrorFormatHasSummaryAndCaretContext) {
