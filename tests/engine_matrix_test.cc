@@ -3,6 +3,8 @@
 // and one where it fails (certifying nonexistence). NotExists verdicts on
 // small instances are cross-checked against bounded brute force.
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "containment/containment.h"
@@ -21,6 +23,23 @@ struct MatrixCase {
   const char* view;
   RewriteStatus expected;
 };
+
+// Without this gtest prints the raw bytes of the struct, pointers included,
+// and ctest names each case after them, so the names moved with any change
+// to the binary's layout. The expected verdict is stable and short.
+void PrintTo(const MatrixCase& c, std::ostream* os) {
+  switch (c.expected) {
+    case RewriteStatus::kFound:
+      *os << "kFound";
+      return;
+    case RewriteStatus::kNotExists:
+      *os << "kNotExists";
+      return;
+    case RewriteStatus::kUnknown:
+      *os << "kUnknown";
+      return;
+  }
+}
 
 class EngineMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
 

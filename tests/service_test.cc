@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include "containment/oracle.h"
 #include "eval/evaluator.h"
 #include "pattern/xpath_parser.h"
+#include "plan_util.h"
+#include "views/view_cache.h"
 #include "xml/xml_parser.h"
 
 namespace xpv {
@@ -119,6 +122,50 @@ TEST(ServiceTest, EmptyViewPatternIsRejected) {
   ServiceResult<ViewId> view = service.AddView(doc, "v", Pattern::Empty());
   ASSERT_FALSE(view.ok());
   EXPECT_EQ(view.error().code, ServiceErrorCode::kEmptyPattern);
+}
+
+TEST(ServiceTest, EmptyPatternQueryAnswersLikeViewCache) {
+  // Υ selects nothing; the facade answers it as an empty miss instead of
+  // erroring, so pattern-level callers keep the same semantics.
+  Service service;
+  DocumentId doc = service.AddDocument(Doc("<a><b/></a>"));
+  ServiceResult<Answer> answer = service.Answer(doc, Pattern::Empty());
+  ASSERT_TRUE(answer.ok());
+  EXPECT_FALSE(answer.value().hit);
+  EXPECT_TRUE(answer.value().outputs.empty());
+}
+
+TEST(ServiceTest, AnswerEquivalentToDirectViewCachePerDocument) {
+  const char* xml =
+      "<a><b><c/><c><d/></c></b><b><c/><e/></b><x><b><c/></b><y/></x></a>";
+  const char* views[][2] = {{"v0", "a/b"}, {"v1", "a/x"}};
+  const char* queries[] = {"a/b/c",  "a/b",   "a//b/c", "a/x/y",
+                           "a/b[e]", "a/q/r", "a/b/c/d"};
+
+  Service service;
+  DocumentId doc = service.AddDocument(Doc(xml));
+  Tree direct_doc = Doc(xml);
+  ViewCache direct(direct_doc);
+  for (const auto& [name, view] : views) {
+    ASSERT_TRUE(service.AddView(doc, name, view).ok());
+    direct.AddView({name, MustParseXPath(view)});
+  }
+  SynchronizedOracle oracle;
+  CacheStats direct_stats;
+  for (const char* query : queries) {
+    ServiceResult<Answer> answer = service.Answer(doc, query);
+    ASSERT_TRUE(answer.ok()) << query;
+    CacheAnswer expected = testutil::AnswerOne(direct, MustParseXPath(query),
+                                               &oracle, &direct_stats);
+    EXPECT_EQ(answer.value().hit, expected.hit) << query;
+    EXPECT_EQ(answer.value().view_name, expected.view_name) << query;
+    EXPECT_EQ(answer.value().outputs, expected.outputs) << query;
+    EXPECT_EQ(answer.value().rewriting.CanonicalEncoding(),
+              expected.rewriting.CanonicalEncoding())
+        << query;
+  }
+  EXPECT_EQ(service.stats().queries, direct_stats.queries);
+  EXPECT_EQ(service.stats().hits, direct_stats.hits);
 }
 
 TEST(ServiceTest, BatchFailedSlotsDoNotDisturbTheOthers) {
